@@ -34,12 +34,14 @@
 //!   sweeps and writes nothing.
 //! * `--scale`                        also run the client-ramp scale bench and
 //!   record the `scale` section (budget-gated: exits 1 if HB bytes/conn
-//!   exceeds the budget or failover stalls unbounded)
+//!   exceeds the budget, if takeover takes longer than
+//!   `hb_timeout + 2·check_period + stonith_delay` or on any verdict but
+//!   both heartbeat links down, or if a serial heartbeat frame ever
+//!   queued longer than one check period)
 //! * `--scale-conns LIST`             comma-separated connection counts for
 //!   `--scale` (default `100,1000,10000,100000`)
 //! * `--scale-smoke N`                CI smoke: run ONLY the `N`-connection
-//!   ramp point, assert the budget and bounded failover stall, write
-//!   nothing
+//!   ramp point, assert the `--scale` gates, write nothing
 //! * `--download-bytes N`             steady-state download size (default 4 MiB)
 //! * `--chaos-seeds N`                seeds per chaos sweep (default 64)
 //! * `--threads N`                    worker threads for the parallel sweep
@@ -55,8 +57,10 @@ use std::time::Instant;
 use obs::json::Json;
 use obs::report::MetricsReport;
 use simnet::profile::Component;
-use simnet::time::SimTime;
+use simnet::serial::{SerialDir, SerialId};
+use simnet::time::{SimDuration, SimTime};
 use sttcp::config::StTcpConfig;
+use sttcp::events::FailureReason;
 use sttcp_apps::apps::StreamApp;
 use sttcp_apps::chaos::ChaosOptions;
 use sttcp_apps::client::ClientWorkload;
@@ -303,8 +307,8 @@ fn chaos_rate(seeds: u64, threads: usize) -> ChaosRate {
 /// idle-heavy mix. The v1 full-state format costs ~21 bytes/conn; the
 /// delta format must come in far under that.
 const SCALE_BUDGET_BYTES_PER_CONN: f64 = 8.0;
-/// Upper bound on the post-crash takeover stall at any ramp size.
-const SCALE_MAX_STALL_US: u64 = 5_000_000;
+/// Serial heartbeat links at scale (connection records shard across them).
+const SCALE_SERIAL_LINKS: usize = 4;
 /// Records per batched heartbeat part at scale: rounds touching more
 /// connections than this split into multi-part v3 envelopes, so a
 /// resync burst never serializes one giant frame.
@@ -316,6 +320,24 @@ const SCALE_HB_BATCH: usize = 1_024;
 /// here long before the budget gates notice.
 const SCALE_MIN_CONNS_PER_SEC_10K: f64 = 2_705.0;
 
+/// The heartbeat configuration every scale point runs.
+fn scale_config() -> StTcpConfig {
+    StTcpConfig {
+        hb_delta: true,
+        hb_batch: SCALE_HB_BATCH,
+        ..Default::default()
+    }
+}
+
+/// Upper bound on the post-crash takeover stall at any ramp size: a crash
+/// must read as both heartbeat links going silent, detected within one
+/// check period of the heartbeat timeout expiring (plus one more for the
+/// last heartbeat's serialization), then fenced.
+fn scale_max_stall() -> SimDuration {
+    let cfg = scale_config();
+    cfg.hb_timeout() + cfg.check_period * 2 + cfg.stonith_delay
+}
+
 struct ScalePoint {
     conns: u64,
     live_conns: u64,
@@ -324,6 +346,11 @@ struct ScalePoint {
     hb_bytes_per_round: f64,
     hb_bytes_per_conn: f64,
     failover_stall_us: u64,
+    /// Every failure verdict the backup reached, with its count.
+    verdicts: Vec<(FailureReason, u64)>,
+    /// The longest any serial frame (either direction, any link) waited
+    /// for the line.
+    max_serial_queue_delay: SimDuration,
 }
 
 /// One ramp point: `total_conns` clients (1 ms connect stagger, an
@@ -344,19 +371,14 @@ fn scale_point(total_conns: u64) -> ScalePoint {
             }
         })
         .collect();
-    let cfg = StTcpConfig {
-        hb_delta: true,
-        hb_batch: SCALE_HB_BATCH,
-        ..Default::default()
-    };
     let mut s = ScenarioBuilder::new(
         Rc::new(|| Box::new(StreamApp::new(4096, false)) as _),
         ClientWorkload::Download { total: 256 * 1024 },
     )
     .extra_clients(workloads)
     .seed(7)
-    .sttcp(cfg)
-    .serial_links(4)
+    .sttcp(scale_config())
+    .serial_links(SCALE_SERIAL_LINKS)
     .build();
 
     // Ramp: clients connect 1 ms apart starting at t = 100 ms; give the
@@ -389,6 +411,19 @@ fn scale_point(total_conns: u64) -> ScalePoint {
         took = s.server(s.backup).took_over_at();
     }
     let stall = took.unwrap_or(horizon).saturating_since(crash_at);
+    let backup = s.server(s.backup);
+    let verdicts = FailureReason::ALL
+        .iter()
+        .map(|&r| (r, backup.metrics().verdict_count(r)))
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    let max_serial_queue_delay = (0..SCALE_SERIAL_LINKS)
+        .flat_map(|i| {
+            let serial = s.world.serial(SerialId(s.serial.0 + i));
+            [SerialDir::AtoB, SerialDir::BtoA].map(|d| serial.stats(d).max_queue_delay)
+        })
+        .max()
+        .unwrap_or(SimDuration::ZERO);
 
     ScalePoint {
         conns: total_conns,
@@ -398,27 +433,35 @@ fn scale_point(total_conns: u64) -> ScalePoint {
         hb_bytes_per_round: per_round,
         hb_bytes_per_conn: per_conn,
         failover_stall_us: stall.as_micros(),
+        verdicts,
+        max_serial_queue_delay,
     }
 }
 
 /// Runs the ramp at each count, printing a table and enforcing the
-/// heartbeat budget and the stall bound. Returns the `scale` report
-/// section and whether every point passed.
+/// heartbeat budget, the stall bound, the crash verdict and the serial
+/// queueing bound. Returns the `scale` report section and whether every
+/// point passed.
 fn run_scale(counts: &[u64]) -> (Json, bool) {
     let mut points = Vec::new();
     let mut ok = true;
-    println!("bench_suite: scale ramp (batched delta heartbeats, 4 serial links)...");
-    println!("  conns     live  conns/s   HB B/round  HB B/conn  stall_ms");
+    let max_stall_us = scale_max_stall().as_micros();
+    let check_period = scale_config().check_period;
+    println!(
+        "bench_suite: scale ramp (batched delta heartbeats, {SCALE_SERIAL_LINKS} serial links)..."
+    );
+    println!("  conns     live  conns/s   HB B/round  HB B/conn  stall_ms  serial_q_ms");
     for &n in counts {
         let p = scale_point(n);
         println!(
-            "  {:>7} {:>7}  {:>8.0}  {:>10.1}  {:>9.3}  {:>8.1}",
+            "  {:>7} {:>7}  {:>8.0}  {:>10.1}  {:>9.3}  {:>8.1}  {:>11.1}",
             p.conns,
             p.live_conns,
             p.conns_per_sec,
             p.hb_bytes_per_round,
             p.hb_bytes_per_conn,
             p.failover_stall_us as f64 / 1e3,
+            p.max_serial_queue_delay.as_micros() as f64 / 1e3,
         );
         if p.hb_bytes_per_conn >= SCALE_BUDGET_BYTES_PER_CONN {
             eprintln!(
@@ -427,12 +470,28 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
             );
             ok = false;
         }
-        if p.failover_stall_us > SCALE_MAX_STALL_US {
+        if p.failover_stall_us > max_stall_us {
             eprintln!(
                 "SCALE STALL UNBOUNDED: {:.1} ms takeover stall at {} conns (bound {} ms)",
                 p.failover_stall_us as f64 / 1e3,
                 p.conns,
-                SCALE_MAX_STALL_US / 1_000
+                max_stall_us / 1_000
+            );
+            ok = false;
+        }
+        if p.verdicts != [(FailureReason::HbBothLinksDown, 1)] {
+            eprintln!(
+                "SCALE CRASH MISDIAGNOSED: backup verdicts {:?} at {} conns \
+                 (want exactly one HbBothLinksDown)",
+                p.verdicts, p.conns
+            );
+            ok = false;
+        }
+        if p.max_serial_queue_delay > check_period {
+            eprintln!(
+                "SCALE SERIAL BACKLOG: a heartbeat frame queued {} at {} conns \
+                 (bound: one check period, {})",
+                p.max_serial_queue_delay, p.conns, check_period
             );
             ok = false;
         }
@@ -450,8 +509,12 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
         "budget_bytes_per_conn",
         Json::F64(SCALE_BUDGET_BYTES_PER_CONN),
     );
-    section.set("max_stall_us", Json::U64(SCALE_MAX_STALL_US));
-    section.set("serial_links", Json::U64(4));
+    section.set("max_stall_us", Json::U64(max_stall_us));
+    section.set(
+        "max_serial_queue_delay_us",
+        Json::U64(check_period.as_micros()),
+    );
+    section.set("serial_links", Json::U64(SCALE_SERIAL_LINKS as u64));
     section.set("hb_batch", Json::U64(SCALE_HB_BATCH as u64));
     section.set(
         "min_conns_per_sec_10k",
@@ -471,6 +534,10 @@ fn run_scale(counts: &[u64]) -> (Json, bool) {
                     o.set("hb_bytes_per_round", Json::F64(p.hb_bytes_per_round));
                     o.set("hb_bytes_per_conn", Json::F64(p.hb_bytes_per_conn));
                     o.set("failover_stall_us", Json::U64(p.failover_stall_us));
+                    o.set(
+                        "serial_queue_delay_us",
+                        Json::U64(p.max_serial_queue_delay.as_micros()),
+                    );
                     o
                 })
                 .collect(),

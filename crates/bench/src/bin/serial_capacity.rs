@@ -9,6 +9,9 @@
 //!
 //! Run with: `cargo run -p sttcp-bench --bin serial_capacity --release`
 
+use simnet::serial::SerialParams;
+use sttcp::config::StTcpConfig;
+use sttcp::heartbeat::{HB_CONN_LEN, HB_V3_HEADER_LEN};
 use sttcp_bench::experiments::run_serial_capacity;
 use sttcp_bench::report::Table;
 
@@ -42,5 +45,21 @@ fn main() {
         c200.bytes_per_conn,
         c200.bits_per_sec_per_conn / 1_000.0,
         c200.max_conns
+    );
+    // Delta heartbeats pace each serial frame to one check period of
+    // line time; the cut frame is a v3 part with an IP + serial ack pair.
+    let check = StTcpConfig::default().check_period;
+    let line = SerialParams::rs232().bytes_within(check);
+    let fit = (line - HB_V3_HEADER_LEN - 2 * 4) / HB_CONN_LEN;
+    println!(
+        "\nwith delta heartbeats (hb_delta), only records changed since the peer's ack\n\
+         ride a round, and each serial frame must serialize within one check period\n\
+         ({} ms ⇒ {line} B ⇒ {fit} records per link per round). Beyond that, a round\n\
+         carries {fit} in-flight records in rotation and defers the rest: the IP link\n\
+         still carries and acks every record each round, and with IP down each\n\
+         record reaches the peer within ⌈in-flight/{fit}⌉ rounds. The serial link never\n\
+         queues, so its liveness evidence stays within one check period however many\n\
+         connections are busy.",
+        check.as_millis()
     );
 }

@@ -109,6 +109,9 @@ pub struct ServerMetrics {
     hb_serial: HbLinkMetrics,
     /// Outbound heartbeat bandwidth accounting.
     hb_bandwidth: HbBandwidth,
+    /// In-flight records left out of serial heartbeat frames because the
+    /// line could not carry them within one check period.
+    hb_serial_deferred: Counter,
     /// Hold-buffer (extended receive buffer) occupancy high-water mark.
     hold: Gauge,
     /// Bytes this primary served to the backup's fetch requests.
@@ -145,6 +148,7 @@ impl ServerMetrics {
             hb_ip: HbLinkMetrics::new(),
             hb_serial: HbLinkMetrics::new(),
             hb_bandwidth: HbBandwidth::default(),
+            hb_serial_deferred: Counter::new(),
             hold: Gauge::new(),
             fetch_bytes_served: Counter::new(),
             replay_bytes: Counter::new(),
@@ -193,6 +197,18 @@ impl ServerMetrics {
         self.hb_bandwidth.conn_entries += conn_entries;
         self.hb_bandwidth.payload_bytes += payload_bytes;
         self.hb_bandwidth.framing_bytes += framing_bytes;
+    }
+
+    /// Records `n` in-flight records left out of this round's serial
+    /// frames by the line budget.
+    pub fn on_hb_serial_deferred(&mut self, n: u64) {
+        self.hb_serial_deferred.add(n);
+    }
+
+    /// Records left out of serial heartbeat frames by the line budget so
+    /// far (summed over rounds and links).
+    pub fn hb_serial_deferred(&self) -> u64 {
+        self.hb_serial_deferred.get()
     }
 
     /// The outbound heartbeat bandwidth accounting so far.
@@ -288,6 +304,7 @@ impl ServerMetrics {
         hb.set("ip", self.hb_ip.to_json());
         hb.set("serial", self.hb_serial.to_json());
         hb.set("bandwidth", self.hb_bandwidth.to_json());
+        hb.set("serial_deferred", Json::U64(self.hb_serial_deferred.get()));
         o.set("heartbeat", hb);
         o.set("hold_high_water_bytes", Json::U64(self.hold.high_water()));
         o.set(

@@ -125,6 +125,52 @@ fn build_link_frames(
     out
 }
 
+/// Fits one serial link's heartbeat round into `budget` wire bytes, so
+/// the frame finishes serializing before the next detector tick.
+///
+/// A round that fits is sent as built. One that does not is cut to part 0
+/// of a multi-part v3 round carrying as many records as fit, taken in key
+/// order starting just past `cursor` (wrapping) — the cursor then moves
+/// to the last record taken, so successive truncated rounds walk every
+/// in-flight record in turn. The round's later parts are never sent, and
+/// the receiver advances a link's cumulative ack only on a round's final
+/// part, so a truncated round never acknowledges anything: every record,
+/// sent or left out, stays dirty-until-acked. Returns the frames and the
+/// number of records left out.
+fn fit_round_to_line(
+    mut frames: Vec<HbFrame>,
+    budget: usize,
+    cursor: &mut u32,
+) -> (Vec<HbFrame>, usize) {
+    let wire: usize = frames.iter().map(HbFrame::wire_len).sum();
+    let n: usize = frames.iter().map(|f| f.hb.conns.len()).sum();
+    if wire <= budget || n == 0 {
+        return (frames, 0);
+    }
+    // Records are in key order across the parts; the first part's size
+    // is the round's chunk size, which caps the cut part too.
+    let chunk = frames[0].hb.conns.len();
+    let mut conns: Vec<ConnHb> = frames
+        .iter_mut()
+        .flat_map(|f| std::mem::take(&mut f.hb.conns))
+        .collect();
+    // Size the cut part with its v3 header. Then `fit < n`: a round of
+    // n <= chunk records is one v2 frame, which did not fit even with
+    // the smaller header.
+    let mut head = frames.swap_remove(0);
+    head.parts = 2;
+    let fit = (budget.saturating_sub(head.wire_len()) / HB_CONN_LEN).min(chunk);
+    let start = conns.partition_point(|c| c.key <= *cursor);
+    conns.rotate_left(start);
+    conns.truncate(fit);
+    if let Some(last) = conns.last() {
+        *cursor = last.key;
+    }
+    head.parts = n.div_ceil(fit.max(1)).clamp(2, u16::MAX as usize) as u16;
+    head.hb.conns = conns;
+    (vec![head], n - fit)
+}
+
 /// The stable numeric code a verdict's [`FailureReason`] gets in flight
 /// events (the index into [`FailureReason::ALL`]).
 pub fn reason_code(reason: FailureReason) -> u32 {
@@ -321,6 +367,9 @@ pub struct StTcpServer {
     rx_link_batch: Vec<RxBatch>,
     /// The peer epoch `rx_link_seq` refers to (0 = none seen yet).
     rx_peer_epoch: u32,
+    /// Per serial link: the key of the last record a line-budget
+    /// truncated round carried, where the next truncated round resumes.
+    serial_cursor: Vec<u32>,
 
     tcp: TcpEndpoint,
     app_factory: Box<dyn AppFactory>,
@@ -454,6 +503,7 @@ impl StTcpServer {
             peer_hb_acks: Vec::new(),
             peer_ack_epoch: 0,
             rx_link_seq: Vec::new(),
+            serial_cursor: Vec::new(),
             rx_link_batch: Vec::new(),
             rx_peer_epoch: 0,
             app_factory,
@@ -1366,13 +1416,24 @@ impl StTcpServer {
                 account(wire.len(), nconns);
             }
         }
-        // Serial frames: each link carries only its shard.
+        // Serial frames: each link carries only its shard, cut to what
+        // the line serializes in one check period behind anything the
+        // port already has queued. The peer's serial liveness evidence
+        // is then at most one detector tick stale, and a crashed sender's
+        // frames stop arriving within a tick instead of draining a
+        // backlog for seconds (which would read as a NIC failure).
+        let check = self.setup.sttcp.check_period;
+        self.serial_cursor.resize(nserial, 0);
+        let mut deferred = 0u64;
         for (s, conns) in serial_conns.into_iter().enumerate() {
             let port = match s {
                 0 => self.serial_port,
                 _ => self.extra_serial_ports[s - 1],
             };
-            for f in build_link_frames(
+            let budget = ctx.serial_params(port).map_or(usize::MAX, |p| {
+                p.bytes_within(check.saturating_sub(ctx.serial_drain(port)))
+            });
+            let round = build_link_frames(
                 kind,
                 self.hb_epoch,
                 (1 + s) as u8,
@@ -1384,7 +1445,10 @@ impl StTcpServer {
                 ping,
                 conns,
                 batch,
-            ) {
+            );
+            let (frames, left_out) = fit_round_to_line(round, budget, &mut self.serial_cursor[s]);
+            deferred += left_out as u64;
+            for f in frames {
                 let nconns = f.hb.conns.len();
                 let wire = f.encode();
                 ctx.send_serial(port, wire.clone());
@@ -1403,6 +1467,7 @@ impl StTcpServer {
         }
         self.metrics
             .on_hb_round(frames, conn_entries, payload_bytes, framing_bytes);
+        self.metrics.on_hb_serial_deferred(deferred);
     }
 
     /// v2 (delta) heartbeat intake: per-link staleness (each link sees
@@ -3772,6 +3837,7 @@ impl Node for StTcpServer {
 mod tests {
     use super::*;
     use crate::app::EchoApp;
+    use crate::heartbeat::HB_V3_HEADER_LEN;
     use simnet::mac::MacAddr;
 
     fn setup(role: Role) -> ServerSetup {
@@ -3885,5 +3951,118 @@ mod tests {
         s.handle_heartbeat(SimTime::from_millis(1), &hb_fin, HbLink::Ip);
         s.handle_heartbeat(SimTime::from_millis(2), &hb_nofin, HbLink::Ip);
         assert!(s.peer_conns.get(&1).unwrap().fin_or_rst);
+    }
+
+    /// One serial-link round of `n` dirty records (scattered keys, every
+    /// counter at `seq`), cut to a line budget of `fit` records.
+    fn serial_round(n: u32, seq: u32, fit: usize, cursor: &mut u32) -> (Vec<HbFrame>, usize) {
+        const EPOCH: u32 = 0x51;
+        let mut conns: Vec<ConnHb> = (0..n)
+            .map(|i| ConnHb {
+                key: i.wrapping_mul(2_654_435_761),
+                last_byte_received: seq as u64,
+                ..Default::default()
+            })
+            .collect();
+        conns.sort_by_key(|c| c.key);
+        let round = build_link_frames(
+            HbFrameKind::Delta,
+            EPOCH,
+            1,
+            0,
+            &[0, 0],
+            seq,
+            Role::Primary,
+            0,
+            None,
+            conns,
+            16,
+        );
+        let budget = HB_V3_HEADER_LEN + 2 * 4 + fit * HB_CONN_LEN;
+        let (frames, left_out) = fit_round_to_line(round, budget, cursor);
+        for f in &frames {
+            assert!(f.wire_len() <= budget || f.hb.conns.is_empty());
+        }
+        (frames, left_out)
+    }
+
+    #[test]
+    fn line_budget_truncation_never_acks_omitted_records_and_rotates() {
+        for n in [1u32, 2, 7, 16, 17, 25, 26, 100, 257] {
+            for fit in [1usize, 2, 5, 16, 25, 300] {
+                let mut rx = server(Role::Backup);
+                let mut tx = server(Role::Primary);
+                tx.hb_epoch = 0x51;
+                tx.peer_ack_epoch = 0x51;
+                let mut cursor = 0u32;
+                // What one cut frame carries: the budget, capped at the
+                // batch size of 16.
+                let rounds = (n as usize).div_ceil(fit.min(16));
+                let mut truncated_seqs = Vec::new();
+                // Serial link only (the IP link is down): the round's
+                // frames are all the peer hears.
+                for seq in 1..=(3 * rounds as u32 + 2) {
+                    let (frames, left_out) = serial_round(n, seq, fit, &mut cursor);
+                    let sent: usize = frames.iter().map(|f| f.hb.conns.len()).sum();
+                    assert_eq!(sent + left_out, n as usize, "n {n} fit {fit}");
+                    if left_out > 0 {
+                        truncated_seqs.push(seq);
+                        assert_eq!(frames.len(), 1);
+                        assert!(frames[0].part == 0 && frames[0].parts >= 2);
+                    }
+                    let now = SimTime::from_millis(200 * seq as u64);
+                    for f in &frames {
+                        rx.handle_heartbeat_v2(now, f, 1);
+                    }
+                    // The sender sees whatever the receiver would ack.
+                    tx.peer_hb_acks = rx.rx_link_seq.clone();
+                    // Acks are cumulative, so the first cut round is the
+                    // one a wrongly advanced ack would cover first.
+                    if let Some(&t) = truncated_seqs.first() {
+                        for i in 0..n {
+                            let key = i.wrapping_mul(2_654_435_761);
+                            assert!(
+                                !tx.ack_covers(key, t),
+                                "n {n} fit {fit}: round {t} acked at seq {seq}"
+                            );
+                        }
+                    }
+                    // Every record reached the peer within the last
+                    // ⌈n/fit⌉ rounds.
+                    if seq as usize >= rounds {
+                        let oldest = seq - rounds as u32 + 1;
+                        assert_eq!(rx.peer_conns.len(), n as usize);
+                        for p in rx.peer_conns.values() {
+                            assert!(
+                                p.last_update_seq >= oldest,
+                                "n {n} fit {fit}: a record went {} rounds unsent at seq {seq}",
+                                seq - p.last_update_seq
+                            );
+                        }
+                    }
+                }
+                // One frame of n <= fit records always fits; more never do.
+                if n as usize <= fit.min(16) {
+                    assert!(truncated_seqs.is_empty(), "n {n} fit {fit}");
+                }
+                if n as usize > fit {
+                    assert!(!truncated_seqs.is_empty(), "n {n} fit {fit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_budget_leaves_empty_and_fitting_rounds_alone() {
+        let mut cursor = 7;
+        // A header-only round is sent even when the line has no room.
+        let (frames, left_out) = serial_round(0, 1, 0, &mut cursor);
+        assert_eq!((frames.len(), left_out, frames[0].parts), (1, 0, 1));
+        // A round that fits stays a complete (ackable) round, whatever
+        // its batching.
+        let (frames, left_out) = serial_round(40, 1, 60, &mut cursor);
+        assert_eq!((frames.len(), left_out), (3, 0));
+        assert!(frames.iter().all(|f| f.parts == 3));
+        assert_eq!(cursor, 7, "complete rounds leave the cursor alone");
     }
 }

@@ -264,6 +264,8 @@ mod tests {
                 next_timer_id: &mut next,
                 flight: &mut flight,
                 profiler: &mut profiler,
+                serials: &[],
+                serial_ports: &[],
             };
             f(&mut ctx)
         };

@@ -15,6 +15,7 @@ use crate::flight::{FlightKind, FlightRecorder, SpanId};
 use crate::frame::EthernetFrame;
 use crate::profile::{Component, Profiler};
 use crate::rng::SimRng;
+use crate::serial::{SerialDir, SerialId, SerialParams, SerialState};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a node within a [`crate::world::World`].
@@ -81,6 +82,10 @@ pub struct NodeCtx<'a> {
     pub(crate) next_timer_id: &'a mut u64,
     pub(crate) flight: &'a mut FlightRecorder,
     pub(crate) profiler: &'a mut Profiler,
+    /// Every serial channel in the world (read-only).
+    pub(crate) serials: &'a [SerialState],
+    /// This node's serial ports, indexed by [`SerialPortId`].
+    pub(crate) serial_ports: &'a [Option<SerialId>],
 }
 
 impl fmt::Debug for NodeCtx<'_> {
@@ -119,6 +124,40 @@ impl NodeCtx<'_> {
     /// Queues `data` for transmission out of serial port `port`.
     pub fn send_serial(&mut self, port: SerialPortId, data: Bytes) {
         self.effects.push(Effect::SendSerial { port, data });
+    }
+
+    /// The channel behind serial port `port` and the direction this node
+    /// transmits in, or `None` if the port is not attached.
+    fn serial_tx(&self, port: SerialPortId) -> Option<(&SerialState, SerialDir)> {
+        let id = (*self.serial_ports.get(port.0)?)?;
+        let chan = self.serials.get(id.0)?;
+        Some((chan, chan.dir_from((self.node, port))?))
+    }
+
+    /// The line parameters of serial port `port`, or `None` if the port
+    /// is not attached.
+    pub fn serial_params(&self, port: SerialPortId) -> Option<SerialParams> {
+        self.serial_tx(port).map(|(chan, _)| chan.params())
+    }
+
+    /// How long the data already queued on serial port `port` needs to
+    /// finish serializing — the `TIOCOUTQ` analogue, as time. Counts the
+    /// channel's own backlog plus what this callback has queued with
+    /// [`NodeCtx::send_serial`] but the world has not applied yet. Zero
+    /// for an idle or unattached port.
+    pub fn serial_drain(&self, port: SerialPortId) -> SimDuration {
+        let Some((chan, dir)) = self.serial_tx(port) else {
+            return SimDuration::ZERO;
+        };
+        self.effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::SendSerial { port: p, data } if *p == port => {
+                    Some(chan.serialization_time(data.len()))
+                }
+                _ => None,
+            })
+            .fold(chan.drain_time(self.now, dir), |a, b| a + b)
     }
 
     /// Arms a timer to fire `after` from now, delivering `token` to
@@ -231,6 +270,8 @@ mod tests {
             next_timer_id: &mut next,
             flight: &mut flight,
             profiler: &mut profiler,
+            serials: &[],
+            serial_ports: &[],
         };
         let a = ctx.set_timer(SimDuration::from_millis(1), TimerToken(10));
         let b = ctx.set_timer(SimDuration::from_millis(2), TimerToken(11));
@@ -262,6 +303,8 @@ mod tests {
             next_timer_id: &mut next,
             flight: &mut flight,
             profiler: &mut profiler,
+            serials: &[],
+            serial_ports: &[],
         };
         ctx.trace("first");
         ctx.power_off(NodeId(1), SimDuration::ZERO);
@@ -290,6 +333,8 @@ mod tests {
                 next_timer_id: &mut next,
                 flight: &mut flight,
                 profiler: &mut profiler,
+                serials: &[],
+                serial_ports: &[],
             };
             ctx.flight(span, SpanId::NONE, FlightKind::HbRecv { seqno: 9, link: 0 });
         }

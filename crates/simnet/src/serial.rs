@@ -77,6 +77,13 @@ impl SerialParams {
             latency: SimDuration::from_micros(5),
         }
     }
+
+    /// The largest message that serializes within `d` on an idle line:
+    /// the inverse of [`SerialState::serialization_time`].
+    pub fn bytes_within(&self, d: SimDuration) -> usize {
+        let bits = d.as_micros() as u128 * self.baud as u128 / 1_000_000;
+        (bits / self.bits_per_byte.max(1) as u128).min(usize::MAX as u128) as usize
+    }
 }
 
 impl Default for SerialParams {
@@ -96,6 +103,10 @@ pub struct SerialStats {
     pub dropped_down: u64,
     /// Payload bytes scheduled for delivery.
     pub bytes_delivered: u64,
+    /// The longest any delivered message waited behind earlier ones
+    /// before its first bit went out (zero while the line never
+    /// queues).
+    pub max_queue_delay: SimDuration,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -195,19 +206,21 @@ impl SerialState {
             self.stats[i].dropped_down += 1;
             return SerialTxOutcome::Dropped;
         }
+        let ser = self.serialization_time(len);
         let d = &mut self.dirs[i];
-        let start = if now > d.busy_until {
-            now
-        } else {
-            d.busy_until
-        };
-        let bits = len as u128 * self.params.bits_per_byte as u128;
-        let ser_micros = (bits * 1_000_000).div_ceil(self.params.baud.max(1) as u128);
-        let ser = SimDuration::from_micros(ser_micros.min(u64::MAX as u128) as u64);
+        let start = d.busy_until.max(now);
         d.busy_until = start + ser;
-        self.stats[i].delivered += 1;
-        self.stats[i].bytes_delivered += len as u64;
+        let st = &mut self.stats[i];
+        st.delivered += 1;
+        st.bytes_delivered += len as u64;
+        st.max_queue_delay = st.max_queue_delay.max(start.saturating_since(now));
         SerialTxOutcome::Deliver(d.busy_until + self.params.latency)
+    }
+
+    /// How long data already queued in `dir` needs at `now` to finish
+    /// serializing: the `TIOCOUTQ` view of the transmit side, as time.
+    pub fn drain_time(&self, now: SimTime, dir: SerialDir) -> SimDuration {
+        self.dirs[dir.index()].busy_until.saturating_since(now)
     }
 
     /// The duration needed to serialize one `len`-byte message on an idle
@@ -317,5 +330,41 @@ mod tests {
         assert_eq!(s.offered, 2);
         assert_eq!(s.delivered, 2);
         assert_eq!(s.bytes_delivered, 25);
+    }
+
+    #[test]
+    fn queue_delay_and_drain_time_track_the_backlog() {
+        let mut c = chan();
+        let ser = c.serialization_time(100);
+        assert_eq!(
+            c.drain_time(SimTime::ZERO, SerialDir::AtoB),
+            SimDuration::ZERO
+        );
+        let _ = c.transmit(SimTime::ZERO, SerialDir::AtoB, 100);
+        assert_eq!(c.stats(SerialDir::AtoB).max_queue_delay, SimDuration::ZERO);
+        assert_eq!(c.drain_time(SimTime::ZERO, SerialDir::AtoB), ser);
+        // A second message offered 1 ms later waits out the first.
+        let t1 = SimTime::from_millis(1);
+        let _ = c.transmit(t1, SerialDir::AtoB, 100);
+        let waited = (SimTime::ZERO + ser).saturating_since(t1);
+        assert_eq!(c.stats(SerialDir::AtoB).max_queue_delay, waited);
+        assert_eq!(c.drain_time(t1, SerialDir::AtoB), waited + ser);
+        // The other direction stays idle; a drained line reads zero.
+        assert_eq!(c.drain_time(t1, SerialDir::BtoA), SimDuration::ZERO);
+        assert_eq!(
+            c.drain_time(SimTime::from_secs(1), SerialDir::AtoB),
+            SimDuration::ZERO
+        );
+    }
+
+    #[test]
+    fn bytes_within_inverts_serialization_time() {
+        let c = chan();
+        let d = SimDuration::from_millis(50);
+        let n = c.params().bytes_within(d);
+        // 50 ms of 115.2 kbps 8N1 carries 576 bytes.
+        assert_eq!(n, 576);
+        assert!(c.serialization_time(n) <= d);
+        assert!(c.serialization_time(n + 1) > d);
     }
 }

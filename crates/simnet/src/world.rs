@@ -554,6 +554,8 @@ impl World {
                 next_timer_id: &mut self.next_timer_id,
                 flight: &mut self.flight,
                 profiler: &mut self.profiler,
+                serials: &self.serials,
+                serial_ports: &self.nodes[node.0].serial_ports,
             };
             f(logic.as_mut(), &mut ctx);
         }
